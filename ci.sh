@@ -220,6 +220,15 @@ stage_soak() {
 }
 
 stage_serve() {
+	# The serving-plane benchmark is a Go module of its own
+	# (servebench/go.mod), so the root `go test ./...` never builds it:
+	# vet and test it here, then smoke one short traced run, which must
+	# report correct outputs.
+	(cd servebench && go vet ./... && go test ./...)
+	bash servebench/run.sh --workload epoch-open --seed 1 --seconds 5 --trace 1 \
+		| tee results/servebench_smoke.log
+	grep -q '"correct":true' results/servebench_smoke.log
+
 	# Networked serving plane overload gate (DESIGN.md §5k): a real
 	# mvcom-serve process takes HTTP ingest while the synthetic client
 	# swarm hammers it at 2x the per-source admitted rate for 30s, then a

@@ -26,6 +26,7 @@ func NewEngine(in Instance, cfg SEConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.start()
 	e := &Engine{r: r}
 	if sol, done := r.trivial(); done {
 		e.trivial = &sol

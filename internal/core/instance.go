@@ -115,7 +115,16 @@ func (in *Instance) Value(i int) float64 {
 // Arrived returns the indices of shards whose two-phase latency does not
 // exceed the deadline — the candidates the final committee may permit.
 func (in *Instance) Arrived() []int {
-	var out []int
+	n := 0
+	for _, l := range in.Latencies {
+		if l <= in.DDL {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for i, l := range in.Latencies {
 		if l <= in.DDL {
 			out = append(out, i)
@@ -183,8 +192,10 @@ func (in *Instance) Feasible(selected []bool) bool {
 // compared against Ĉ in Alg. 1's bootstrap condition.
 func (in *Instance) TotalArrivedSize() int {
 	total := 0
-	for _, i := range in.Arrived() {
-		total += in.Sizes[i]
+	for i, l := range in.Latencies {
+		if l <= in.DDL {
+			total += in.Sizes[i]
+		}
 	}
 	return total
 }

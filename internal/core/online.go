@@ -93,6 +93,7 @@ func (se *SE) SolveOnline(in Instance, events []Event) (Solution, []TracePoint, 
 	if err != nil {
 		return Solution{}, nil, err
 	}
+	run.start()
 	ordered := append([]Event(nil), events...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].AtIteration < ordered[j].AtIteration

@@ -192,6 +192,7 @@ func TestStationaryDistributionMatchesReferenceKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.start()
 		ex := r.explorers[0]
 		var th *thread
 		for _, cand := range ex.threads {
@@ -268,6 +269,7 @@ func TestSplitStreamsDriveDistinctExplorers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.start()
 		a, b := r.explorers[0], r.explorers[1]
 		same := true
 		for i := range a.threads {

@@ -186,6 +186,14 @@ func (se *SE) Config() SEConfig { return se.cfg }
 // Solve runs the SE algorithm on a static instance and returns the best
 // feasible solution found together with its convergence trace.
 func (se *SE) Solve(in Instance) (Solution, []TracePoint, error) {
+	return se.solve(in, nil)
+}
+
+// solve is Solve, plus the warm start of SolveFrom when prevSel is
+// non-empty and WarmStart is set. The bootstrap shortcut is checked
+// before the chain is built, so an epoch whose arrived shards all fit
+// the final block pays for the candidate scan and nothing else.
+func (se *SE) solve(in Instance, prevSel []bool) (Solution, []TracePoint, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, nil, err
 	}
@@ -194,7 +202,12 @@ func (se *SE) Solve(in Instance) (Solution, []TracePoint, error) {
 		return Solution{}, nil, err
 	}
 	if sol, done := run.trivial(); done {
+		run.bindTrivialDiag(sol.Utility)
 		return sol, []TracePoint{{Iteration: 0, Utility: sol.Utility}}, nil
+	}
+	run.start()
+	if se.cfg.WarmStart && len(prevSel) > 0 {
+		run.applyWarmStart(prevSel)
 	}
 	trace := run.loop(nil)
 	sol, err := run.best()
@@ -306,6 +319,9 @@ type run struct {
 	iterations   int
 }
 
+// newRun is the cheap half of construction: it resolves the arrived
+// candidates (ErrNoCandidates when none arrived), which is all the
+// bootstrap check of trivial needs. The chain itself is built by start.
 func newRun(in *Instance, cfg SEConfig) (*run, error) {
 	cands := in.Arrived()
 	if len(cands) == 0 {
@@ -315,13 +331,24 @@ func newRun(in *Instance, cfg SEConfig) (*run, error) {
 		in:         in,
 		cfg:        cfg,
 		candidates: cands,
-		rootRNG:    randx.New(cfg.Seed),
 		workers:    resolveWorkers(cfg.Workers, cfg.Gamma),
 		obs:        cfg.Obs,
+		betaBoost:  1,
 	}
 	r.global.util = math.Inf(-1)
-	r.betaBoost = 1
-	r.cards = threadCardinalities(len(cands), cfg.MaxThreads)
+	return r, nil
+}
+
+// start builds the chain: candidate caches, β_eff, the root RNG (seeded
+// per run from cfg.Seed, so a solve that never starts its chain leaves
+// every other solve's stream untouched), and Γ initialized explorers.
+// Solve and SolveFrom skip it when trivial answers the instance;
+// NewEngine and SolveOnline always call it because later join/leave
+// events need the chain.
+func (r *run) start() {
+	cfg := r.cfg
+	r.rootRNG = randx.New(cfg.Seed)
+	r.cards = threadCardinalities(len(r.candidates), cfg.MaxThreads)
 	if cfg.Adaptive {
 		r.sched = seobs.NewController(seobs.ControllerConfig{})
 	}
@@ -341,7 +368,6 @@ func newRun(in *Instance, cfg SEConfig) (*run, error) {
 	r.offerFullIfFeasible()
 	r.publishBest()
 	r.bindDiag()
-	return r, nil
 }
 
 // bindDiag attaches the configured convergence diagnostics to a fresh
@@ -364,7 +390,7 @@ func (r *run) bindDiag() {
 func (r *run) diagInfo() seobs.RunInfo {
 	return seobs.RunInfo{
 		K:        len(r.candidates),
-		Gamma:    len(r.explorers),
+		Gamma:    r.cfg.Gamma,
 		Beta:     r.cfg.Beta,
 		BetaEff:  r.betaEff,
 		Capacity: r.in.Capacity,
@@ -497,19 +523,36 @@ func (r *run) refreshRateCaches() {
 // trivial handles the bootstrap condition of Alg. 1 line 1: the stochastic
 // search only starts once the arrived shards exceed both Nmin and the
 // block capacity; otherwise the final committee simply permits everything
-// that arrived.
+// that arrived. It reads only the candidate list, so it runs before start.
 func (r *run) trivial() (Solution, bool) {
-	if r.in.TotalArrivedSize() > r.in.Capacity {
-		return Solution{}, false
+	load := 0
+	for _, i := range r.candidates {
+		load += r.in.Sizes[i]
 	}
-	if len(r.candidates) < r.in.Nmin {
+	if load > r.in.Capacity || len(r.candidates) < r.in.Nmin {
 		return Solution{}, false
 	}
 	sel := make([]bool, r.in.NumShards())
 	for _, i := range r.candidates {
 		sel[i] = true
 	}
-	return NewSolution(r.in, sel), true
+	return Solution{Selected: sel, Utility: r.in.Utility(sel), Load: load, Count: len(r.candidates)}, true
+}
+
+// bindTrivialDiag binds the configured diagnostics to a solve trivial
+// answered without starting the chain: the run description covers the
+// arrived candidates, and the history holds the returned utility at
+// round 0.
+func (r *run) bindTrivialDiag(util float64) {
+	if r.cfg.Diag == nil {
+		return
+	}
+	r.cards = threadCardinalities(len(r.candidates), r.cfg.MaxThreads)
+	r.refreshCandidateCaches()
+	r.refreshBetaEff()
+	r.diag = r.cfg.Diag
+	r.diag.Bind(r.diagInfo())
+	r.diag.RecordImprovement(0, util)
 }
 
 // loop advances all explorers in synchronized batches until convergence or

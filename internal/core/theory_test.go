@@ -296,6 +296,7 @@ func TestChainIsIrreducibleEmpirically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.start()
 	ex := run.explorers[0]
 	var th *thread
 	for _, cand := range ex.threads {
@@ -350,6 +351,7 @@ func TestStationaryFrequenciesMatchGibbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.start()
 	ex := run.explorers[0]
 	var th *thread
 	for _, cand := range ex.threads {

@@ -35,25 +35,7 @@ var _ WarmSolver = (*SE)(nil)
 // so the time-to-ε estimator measures re-convergence from the seeded
 // level, mirroring how join/leave events restart it.
 func (se *SE) SolveFrom(in Instance, prev Solution) (Solution, []TracePoint, error) {
-	if err := in.Validate(); err != nil {
-		return Solution{}, nil, err
-	}
-	run, err := newRun(&in, se.cfg)
-	if err != nil {
-		return Solution{}, nil, err
-	}
-	if sol, done := run.trivial(); done {
-		return sol, []TracePoint{{Iteration: 0, Utility: sol.Utility}}, nil
-	}
-	if se.cfg.WarmStart {
-		run.applyWarmStart(prev.Selected)
-	}
-	trace := run.loop(nil)
-	sol, err := run.best()
-	if err != nil {
-		return Solution{}, trace, err
-	}
-	return sol, trace, nil
+	return se.solve(in, prev.Selected)
 }
 
 // projectSelection maps a previous selection (instance index space) onto

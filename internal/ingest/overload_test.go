@@ -92,7 +92,7 @@ func TestOverloadBoundedHeap(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		heaps = append(heaps, ms.HeapAlloc)
-		if n := stream.queue.Len(); n > queueCap {
+		if n := stream.queue.len(); n > queueCap {
 			t.Fatalf("queue grew past its watermark: %d > %d", n, queueCap)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"mvcom/internal/chain"
 	"mvcom/internal/epoch"
 	"mvcom/internal/obs"
-	"mvcom/internal/txpool"
 )
 
 // StreamConfig parameterizes a NetStream.
@@ -21,7 +20,8 @@ type StreamConfig struct {
 	// Params are the scheduling parameters handed to every epoch.
 	Params epoch.EpochParams
 	// QueueTxs is the queue high-watermark in transactions: submissions
-	// that would push past it are shed with reason "queue". <= 0
+	// that would push past it are shed with reason "queue", and so is a
+	// shard report declaring more than this many, as "invalid". <= 0
 	// defaults to 65536.
 	QueueTxs int
 	// Rate and Burst configure the per-source token buckets (tx/s and
@@ -31,6 +31,8 @@ type StreamConfig struct {
 	MaxSources  int
 	// MinBatchTxs flushes an epoch as soon as the queue holds this many
 	// transactions (<= 0 defaults to 1: any traffic starts an epoch).
+	// Only submissions that leave the queue at or above it wake the
+	// epoch goroutine; smaller queues wait for MaxWait.
 	MinBatchTxs int
 	// MaxWait bounds how long NextContext waits for traffic before
 	// flushing whatever is there — possibly nothing, which runs a quiet
@@ -62,18 +64,21 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// drainAll is the "drain everything regardless of Created" horizon.
-const drainAll = time.Duration(1) << 62
+// maxReportLatency is the ceiling on a wire report's observed two-phase
+// latency, in seconds. Larger values (and NaN) are shed as invalid: they
+// would overflow time.Duration in Fill and reach the epoch as a negative
+// latency.
+const maxReportLatency = 3600
 
 // NetStream bridges the network front ends to epoch.Pipeline.Serve. The
 // front ends call Submit/SubmitReport from many goroutines; the serve
 // goroutine calls NextContext (epoch.CtxStream), Fill
 // (epoch.ShardSupply), and Deliver. Admitted transactions wait in a
-// bounded synchronized pool; each flush drains them into the coming
-// epoch and settles the previous books.
+// bounded FIFO queue; each flush takes them into the coming epoch and
+// settles the previous books.
 type NetStream struct {
 	cfg     StreamConfig
-	queue   *txpool.SyncPool
+	queue   txQueue
 	buckets *Buckets
 	wake    chan struct{}
 
@@ -95,6 +100,8 @@ type NetStream struct {
 	epochs, accountingErrors        atomic.Int64
 
 	// Epoch-goroutine state (only touched by NextContext/Fill/Deliver).
+	// batch is the last flushed queue buffer; the next flush hands it
+	// back to the queue as its spare.
 	batch       []chain.Transaction
 	fillRep     []Report // snapshot of pending reports for the in-flight epoch
 	batchTxs    int      // queue txs flushed into the in-flight epoch
@@ -121,7 +128,6 @@ func NewStream(cfg StreamConfig) *NetStream {
 	cfg = cfg.withDefaults()
 	return &NetStream{
 		cfg:        cfg,
-		queue:      txpool.NewSync(),
 		buckets:    NewBuckets(cfg.Rate, cfg.Burst, cfg.MaxSources),
 		wake:       make(chan struct{}, 1),
 		drainCh:    make(chan struct{}),
@@ -147,25 +153,36 @@ func (s *NetStream) Submit(source string, txs []chain.Transaction) string {
 	if !s.buckets.Allow(source, len(txs)) {
 		return s.shed("rate", len(txs))
 	}
-	if !s.queue.TryAddBatch(txs, s.cfg.QueueTxs) {
+	queued, ok := s.queue.tryAdd(txs, s.cfg.QueueTxs)
+	if !ok {
 		return s.shed("queue", len(txs))
 	}
 	s.accepted.Add(1)
 	s.acceptedTxs.Add(int64(len(txs)))
 	s.cfg.Obs.RequestAccepted(len(txs))
-	s.cfg.Obs.SetQueueTxs(s.queue.Len())
-	s.wakeUp()
+	s.cfg.Obs.SetQueueTxs(queued)
+	if queued >= s.cfg.MinBatchTxs {
+		s.wakeUp()
+	}
 	return ""
 }
 
-// SubmitReport runs a shard report through admission. Reports bypass
-// the queue watermark (they are O(1) pending state per committee, not
-// per-tx heap) but still pay token-bucket tokens for the transactions
-// they declare.
+// SubmitReport runs a shard report through admission. Reports do not
+// enter the queue (they are O(1) pending state per committee), but a
+// report may declare at most QueueTxs transactions, its latency must be
+// finite and at most maxReportLatency seconds, and it pays token-bucket
+// tokens for the transactions it declares. Reports never wake the epoch
+// goroutine: they do not count toward MinBatchTxs.
 func (s *NetStream) SubmitReport(source string, rep Report) string {
 	s.requests.Add(1)
 	s.cfg.Obs.RequestSeen()
-	if rep.Committee < 0 || rep.Committee >= s.cfg.Committees || rep.TxCount < 0 || rep.Latency < 0 {
+	if rep.TxCount < 0 || rep.TxCount > s.cfg.QueueTxs {
+		// The declared count is itself the defect; counting it as shed
+		// could wrap the counter.
+		return s.shed("invalid", 0)
+	}
+	if rep.Committee < 0 || rep.Committee >= s.cfg.Committees ||
+		!(rep.Latency >= 0 && rep.Latency <= maxReportLatency) {
 		return s.shed("invalid", rep.TxCount)
 	}
 	if s.draining.Load() {
@@ -187,7 +204,6 @@ func (s *NetStream) SubmitReport(source string, rep Report) string {
 	s.reports.Add(1)
 	s.reportTxs.Add(int64(rep.TxCount))
 	s.cfg.Obs.ReportAccepted(rep.TxCount)
-	s.wakeUp()
 	return ""
 }
 
@@ -218,7 +234,7 @@ func (s *NetStream) Stats() Stats {
 		CommittedTxs:     s.committedTxs.Load(),
 		ExpiredTxs:       s.expiredTxs.Load(),
 		OutstandingTxs:   s.outstandingTxs.Load(),
-		QueueTxs:         int64(s.queue.Len()),
+		QueueTxs:         int64(s.queue.len()),
 		PendingReportTxs: s.pendingTxs.Load(),
 		AssignedTxs:      s.assignedTxs.Load(),
 		Epochs:           s.epochs.Load(),
@@ -284,7 +300,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 			// the first flushes the queue and pending reports in, and
 			// the rest give the deferral backlog epochs to commit or
 			// expire via MaxDeferrals.
-			if s.queue.Len() == 0 && s.pendingTxs.Load() == 0 && s.outstandingTxs.Load() == 0 {
+			if s.queue.len() == 0 && s.pendingTxs.Load() == 0 && s.outstandingTxs.Load() == 0 {
 				s.finished = true
 				return epoch.EpochParams{}, false
 			}
@@ -303,7 +319,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 			s.served++
 			return s.cfg.Params, true
 		}
-		if s.queue.Len() >= s.cfg.MinBatchTxs || expired {
+		if s.queue.len() >= s.cfg.MinBatchTxs || expired {
 			s.flush(false)
 			s.served++
 			return s.cfg.Params, true
@@ -322,7 +338,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 // flush moves the queued transactions and pending reports into the
 // in-flight epoch's fill plan. Runs on the epoch goroutine only.
 func (s *NetStream) flush(draining bool) {
-	s.batch = s.queue.DrainArrivedInto(s.batch[:0], drainAll, 0)
+	s.batch = s.queue.swap(s.batch)
 	s.batchTxs = len(s.batch)
 
 	s.fillRep = s.fillRep[:0]
@@ -341,7 +357,7 @@ func (s *NetStream) flush(draining bool) {
 	s.pendingTxs.Add(int64(-repTxs))
 	s.assignedTxs.Add(int64(s.batchTxs + repTxs))
 
-	s.cfg.Obs.SetQueueTxs(s.queue.Len())
+	s.cfg.Obs.SetQueueTxs(s.queue.len())
 	s.cfg.Obs.BatchFlushed(s.batchTxs + repTxs)
 	if draining {
 		s.cfg.Obs.DrainFlushed(s.batchTxs + repTxs)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -242,5 +243,96 @@ func TestNetStreamInvalidAndWatermark(t *testing.T) {
 	st := stream.Stats()
 	if st.ShedInvalid != 5 || st.ShedQueue != 1 || st.AcceptedTxs != 100 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestNetStreamBoundsReportFields is the regression test for unbounded
+// report fields: a latency beyond the ceiling (or NaN) used to overflow
+// time.Duration in Fill and end Serve with "negative latency", and two
+// MaxInt64/2+1 counts used to wrap ReportTxs negative. Both are now shed
+// as invalid at admission, and Serve keeps running.
+func TestNetStreamBoundsReportFields(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Committees: 2,
+		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs:   1000,
+		MaxWait:    5 * time.Millisecond,
+		MaxEpochs:  2,
+	})
+	// Both ceilings are inclusive. The hostile reports come after this
+	// one, so an admitted hostile latency would be the one Fill applies.
+	if reason := stream.SubmitReport("a", Report{Committee: 0, TxCount: 1000, Latency: maxReportLatency}); reason != "" {
+		t.Fatalf("report at the ceilings shed: %q", reason)
+	}
+	for _, rep := range []Report{
+		{Committee: 0, TxCount: 1, Latency: 1e10},
+		{Committee: 0, TxCount: 1, Latency: math.NaN()},
+		{Committee: 0, TxCount: 1, Latency: math.Inf(1)},
+		{Committee: 1, TxCount: math.MaxInt64/2 + 1},
+		{Committee: 1, TxCount: math.MaxInt64/2 + 1},
+		{Committee: 1, TxCount: 1001},
+	} {
+		if reason := stream.SubmitReport("a", rep); reason != "invalid" {
+			t.Errorf("report %+v: reason %q, want invalid", rep, reason)
+		}
+	}
+	p := testPipeline(t, 2, stream, 0, 65)
+	if err := p.Serve(context.Background(), epoch.AcceptAll{}, stream); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	st := stream.Stats()
+	if st.ShedInvalid != 6 || st.ShedTxs != 3 || st.ReportTxs != 1000 || st.Epochs != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if gap := st.AccountingGap(); gap != 0 {
+		t.Fatalf("accounting gap %d: %+v", gap, st)
+	}
+}
+
+// TestNetStreamWakesAtMinBatch pins the wake rule: submissions that leave
+// the queue below MinBatchTxs, and reports, do not end NextContext, and
+// the submission that reaches MinBatchTxs ends it at once rather than at
+// MaxWait.
+func TestNetStreamWakesAtMinBatch(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Committees:  2,
+		MinBatchTxs: 100,
+		MaxWait:     10 * time.Second,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := stream.NextContext(ctx, 0)
+		done <- ok
+	}()
+
+	for i := 0; i < 9; i++ {
+		if reason := stream.Submit("a", mkTxs(10, uint64(i)*10)); reason != "" {
+			t.Fatalf("batch %d shed: %s", i, reason)
+		}
+	}
+	if reason := stream.SubmitReport("a", Report{Committee: 0, TxCount: 500}); reason != "" {
+		t.Fatalf("report shed: %s", reason)
+	}
+	select {
+	case <-done:
+		t.Fatal("NextContext returned with the queue below MinBatchTxs")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	if reason := stream.Submit("a", mkTxs(10, 90)); reason != "" {
+		t.Fatalf("crossing batch shed: %s", reason)
+	}
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("NextContext ended the stream instead of flushing")
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("the submission reaching MinBatchTxs did not end NextContext within 100ms")
+	}
+	if st := stream.Stats(); st.AssignedTxs != 600 || st.QueueTxs != 0 {
+		t.Fatalf("flush: %+v", st)
 	}
 }
